@@ -93,8 +93,8 @@ fn bench_whs_vs_srs(c: &mut Criterion) {
     group.finish();
 }
 
-/// §III-E sharded execution: the sequential reference (`sharded_whs_sample`,
-/// round-robin dealing on one thread) against the scoped-thread
+/// §III-E sharded execution: the round-robin reference
+/// (`sharded_whs_sample`) against the slice-partitioned
 /// `ParallelShardedSampler` across worker counts. Same 8-strata 64k-item
 /// window and 10% budget as the hot-path group.
 fn bench_sharded_scaling(c: &mut Criterion) {

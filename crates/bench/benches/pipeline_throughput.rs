@@ -1,18 +1,16 @@
 //! End-to-end pipeline throughput: the system-level benchmark for the
-//! persistent edge worker pool and the zero-allocation wire path.
+//! threaded pipeline and its zero-allocation wire path.
 //!
 //! Where `micro_samplers` measures the WHS kernel in isolation, this
 //! group drives the paper topology (4 leaves, 2 mids, 1 root over broker
 //! topics) through [`approxiot_runtime::run_pipeline`] and reports
 //! whole-run cost per source item — encode, produce, poll, decode, sample
 //! and root reconstruction included. Strategies: WHS (with
-//! `edge_workers` ∈ {1, 2, 4} on the persistent [`WorkerPool`]), the SRS
-//! baseline, and native forwarding. Delays are zeroed and links
-//! uncapped so the measurement is the software path, not the emulated
-//! WAN. Baseline numbers live in `BENCH_pipeline.json` at the repository
-//! root.
-//!
-//! [`WorkerPool`]: approxiot_runtime::WorkerPool
+//! `edge_workers` ∈ {1, 2, 4} §III-E shards, run inline on each node's
+//! thread), the SRS baseline, and native forwarding. Delays are zeroed
+//! and links uncapped so the measurement is the software path, not the
+//! emulated WAN. Baseline numbers live in `BENCH_pipeline.json` at the
+//! repository root.
 
 use approxiot_core::{Batch, StratumId, StreamItem};
 use approxiot_runtime::{

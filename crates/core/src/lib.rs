@@ -42,14 +42,12 @@
 //! The paper's §III-E parallelisation is [`ParallelShardedSampler`]:
 //! contiguous slice partitioning over `w` worker shards, one reusable
 //! [`WhsScratch`] and one deterministic `StdRng` (seed ⊕ shard index) per
-//! shard, sampled concurrently under `std::thread::scope` (inline when
-//! the host has a single CPU — per-shard RNG state makes the output
-//! identical either way). Each shard emits its own `(W_out, sample)`
-//! pair, which the root's Θ handling already accepts. The threaded
-//! pipeline runs the same design on `approxiot-runtime`'s persistent
-//! `WorkerPool` (long-lived channel-fed workers, bit-identical output via
-//! the shared [`shard_slice`]/[`shard_budget`] partitioning), keeping this
-//! type as the reference implementation.
+//! shard, the budget split exactly by [`shard_budget`]. The shards run
+//! inline on the caller's thread: each emits its own `(W_out, sample)`
+//! pair, which the root's Θ handling already accepts, and the pipeline
+//! already runs one thread per node. A threaded shard path was measured
+//! and removed: at the frame sizes the pipeline carries it only added
+//! hand-off cost.
 //!
 //! ## Data layout: `Batch` vs `ColumnarBatch`
 //!

@@ -18,9 +18,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Samples one batch using `workers` independent shards per the paper's
-/// distributed-execution extension — the sequential reference
-/// implementation (see [`ParallelShardedSampler`] for the one that
-/// actually uses cores).
+/// distributed-execution extension — the round-robin reference
+/// implementation (see [`ParallelShardedSampler`] for the slice-partitioned
+/// one the engines run).
 ///
 /// Items are dealt to shards round-robin (any source-side partitioning
 /// works; the analysis only needs each shard to see a random-ish portion and
@@ -82,9 +82,8 @@ pub fn sharded_whs_sample<R: Rng + ?Sized>(
 /// distributed one slot each to the lowest-indexed shards so the budgets
 /// sum exactly to `total`.
 ///
-/// Public because the persistent `WorkerPool` in `approxiot-runtime` must
-/// split budgets **identically** to [`ParallelShardedSampler`] for its
-/// bit-identical-output guarantee to hold.
+/// Public so replicas of the §III-E design outside this crate split
+/// budgets **identically** to [`ParallelShardedSampler`].
 pub fn shard_budget(total: usize, workers: usize, idx: usize) -> usize {
     total / workers + usize::from(idx < total % workers)
 }
@@ -94,9 +93,9 @@ pub fn shard_budget(total: usize, workers: usize, idx: usize) -> usize {
 /// shards. Slices index directly into the caller's buffer — no per-shard
 /// item vectors.
 ///
-/// Public for the same reason as [`shard_budget`]: every execution engine
-/// of the §III-E design must partition identically or fixed-seed outputs
-/// diverge between engines.
+/// Public for the same reason as [`shard_budget`]: every replica of the
+/// §III-E design must partition identically or fixed-seed outputs
+/// diverge.
 pub fn shard_slice(items: &[StreamItem], workers: usize, idx: usize) -> &[StreamItem] {
     let (start, end) = shard_bounds(items.len(), workers, idx);
     &items[start..end]
@@ -114,11 +113,11 @@ pub fn shard_bounds(n: usize, workers: usize, idx: usize) -> (usize, usize) {
     (start, start + len)
 }
 
-/// Truly parallel §III-E sharding: the node's sub-stream is split over `w`
-/// worker shards that sample **concurrently** on a scoped-thread pool.
+/// §III-E sharding as the engines run it: the node's sub-stream is split
+/// over `w` worker shards, each sampling its own portion into its own
+/// reservoir, run one after another on the calling thread.
 ///
-/// Design deltas versus [`sharded_whs_sample`], which executes its shards
-/// one after another on the calling thread:
+/// Design deltas versus [`sharded_whs_sample`]:
 ///
 /// * **Slice partitioning** — each shard samples a contiguous slice of the
 ///   input (no round-robin `Vec` pushes, no per-shard copies of the
@@ -127,12 +126,9 @@ pub fn shard_bounds(n: usize, workers: usize, idx: usize) -> (usize, usize) {
 /// * **Per-shard deterministic RNG** — shard `i` owns a `StdRng` seeded
 ///   `seed ^ i` at construction and advanced only by that shard, so a
 ///   fixed `(seed, workers)` pair reproduces identical samples regardless
-///   of thread scheduling, batch sizes or how often the parallel path
-///   engages.
+///   of batch sizes.
 /// * **Per-shard reusable [`WhsScratch`]** — the zero-allocation hot-path
-///   kernel, one per worker, reused across batches.
-/// * **No `WeightMap` clones** — shards share the resolved input weights
-///   by reference across the scope.
+///   kernel, one per shard, reused across batches.
 /// * **Exact budget split** — remainder slots are distributed, so the
 ///   shard budgets always sum to the requested sample size.
 ///
@@ -140,18 +136,9 @@ pub fn shard_bounds(n: usize, workers: usize, idx: usize) -> (usize, usize) {
 /// handling (Equation 3) sums over pairs, so downstream code is unchanged
 /// — the whole point of §III-E.
 ///
-/// Small batches (fewer than [`ParallelShardedSampler::MIN_PARALLEL_ITEMS`]
-/// items) run the shards inline on the calling thread: identical output,
-/// no spawn overhead.
-///
-/// The worker scope is spawned **per batch**; on hosts where thread
-/// spawn+join (tens of µs per worker) is comparable to the per-batch
-/// sampling work, that overhead matters. The runtime crate's persistent
-/// `WorkerPool` amortises it with long-lived channel-fed workers and is
-/// what the threaded pipeline uses; it produces bit-identical output to
-/// this sampler (same [`shard_slice`]/[`shard_budget`] partitioning, same
-/// per-shard RNG discipline), which keeps this type as the reference
-/// implementation and property-test oracle.
+/// There is no threaded path: the pipeline already runs one thread per
+/// node, and handing each frame's shards to extra threads cost more than
+/// the sampling work it spread.
 ///
 /// # Examples
 ///
@@ -173,11 +160,6 @@ pub struct ParallelShardedSampler {
     /// Reusable buffer for the batch's distinct strata (weight
     /// resolution).
     strata_scratch: Vec<crate::item::StratumId>,
-    /// Spawn the worker scope for large batches. Defaults to whether the
-    /// machine has more than one logical CPU; override with
-    /// [`ParallelShardedSampler::set_threaded`]. Output is identical
-    /// either way — each shard's RNG belongs to the shard, not a thread.
-    threaded: bool,
 }
 
 /// One worker shard's private state, reused across batches.
@@ -188,10 +170,6 @@ struct ShardState {
 }
 
 impl ParallelShardedSampler {
-    /// Batches smaller than this sample inline instead of spawning the
-    /// worker scope (thread startup would dominate the sampling work).
-    pub const MIN_PARALLEL_ITEMS: usize = 4096;
-
     /// Creates a sampler with `workers` shards. Shard `i` draws from a
     /// generator seeded `seed ^ i`.
     ///
@@ -209,24 +187,12 @@ impl ParallelShardedSampler {
                 scratch: WhsScratch::new(),
             })
             .collect();
-        let threaded = std::thread::available_parallelism()
-            .map(|n| n.get() > 1)
-            .unwrap_or(false);
         ParallelShardedSampler {
             allocation,
             store: WeightStore::new(),
             shards,
             strata_scratch: Vec::new(),
-            threaded,
         }
-    }
-
-    /// Forces the scoped-thread path on or off (on by default when the
-    /// machine has more than one logical CPU). Sampling output is
-    /// unaffected; this only trades thread-spawn overhead against
-    /// parallel speedup.
-    pub fn set_threaded(&mut self, threaded: bool) {
-        self.threaded = threaded;
     }
 
     /// Number of worker shards.
@@ -251,7 +217,7 @@ impl ParallelShardedSampler {
     }
 
     /// Samples `items` across all shards with already-resolved input
-    /// weights, shared by reference with every worker.
+    /// weights; one [`WhsOutput`] per shard, in shard order.
     pub fn sample_with_weights(
         &mut self,
         items: &[StreamItem],
@@ -260,44 +226,19 @@ impl ParallelShardedSampler {
     ) -> Vec<WhsOutput> {
         let workers = self.shards.len();
         let allocation = self.allocation;
-        if workers == 1 || !self.threaded || items.len() < Self::MIN_PARALLEL_ITEMS {
-            // Inline path: identical per-shard RNG/scratch usage, so the
-            // output matches the threaded path bit for bit.
-            return self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(idx, shard)| {
-                    shard.scratch.sample_slice(
-                        shard_slice(items, workers, idx),
-                        shard_budget(sample_size, workers, idx),
-                        w_in,
-                        allocation,
-                        &mut shard.rng,
-                    )
-                })
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(idx, shard)| {
-                    let slice = shard_slice(items, workers, idx);
-                    let budget = shard_budget(sample_size, workers, idx);
-                    scope.spawn(move || {
-                        shard
-                            .scratch
-                            .sample_slice(slice, budget, w_in, allocation, &mut shard.rng)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
+        self.shards
+            .iter_mut()
+            .enumerate()
+            .map(|(idx, shard)| {
+                shard.scratch.sample_slice(
+                    shard_slice(items, workers, idx),
+                    shard_budget(sample_size, workers, idx),
+                    w_in,
+                    allocation,
+                    &mut shard.rng,
+                )
+            })
+            .collect()
     }
 
     /// Samples one columnar batch across all shards, resolving missing
@@ -331,56 +272,23 @@ impl ParallelShardedSampler {
     ) -> Vec<ColumnarBatch> {
         let workers = self.shards.len();
         let allocation = self.allocation;
-        if workers == 1 || !self.threaded || input.len() < Self::MIN_PARALLEL_ITEMS {
-            // Inline path: identical per-shard RNG/scratch usage, so the
-            // output matches the threaded path bit for bit.
-            return self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(idx, shard)| {
-                    let (start, end) = shard_bounds(input.len(), workers, idx);
-                    let mut out = ColumnarBatch::new();
-                    shard.scratch.sample_columns_into(
-                        input.range(start, end),
-                        shard_budget(sample_size, workers, idx),
-                        w_in,
-                        allocation,
-                        &mut out,
-                        &mut shard.rng,
-                    );
-                    out
-                })
-                .collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .enumerate()
-                .map(|(idx, shard)| {
-                    let (start, end) = shard_bounds(input.len(), workers, idx);
-                    let view = input.range(start, end);
-                    let budget = shard_budget(sample_size, workers, idx);
-                    scope.spawn(move || {
-                        let mut out = ColumnarBatch::new();
-                        shard.scratch.sample_columns_into(
-                            view,
-                            budget,
-                            w_in,
-                            allocation,
-                            &mut out,
-                            &mut shard.rng,
-                        );
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        })
+        self.shards
+            .iter_mut()
+            .enumerate()
+            .map(|(idx, shard)| {
+                let (start, end) = shard_bounds(input.len(), workers, idx);
+                let mut out = ColumnarBatch::new();
+                shard.scratch.sample_columns_into(
+                    input.range(start, end),
+                    shard_budget(sample_size, workers, idx),
+                    w_in,
+                    allocation,
+                    &mut out,
+                    &mut shard.rng,
+                );
+                out
+            })
+            .collect()
     }
 
     /// Forgets carried weights (between independent runs). Shard RNGs keep
@@ -562,23 +470,37 @@ mod tests {
 
     #[test]
     fn parallel_sampler_is_deterministic_for_fixed_seed() {
-        // Threaded and inline execution must both reproduce exactly for a
-        // fixed seed — per-shard RNGs make the output independent of the
-        // thread schedule (and of whether threads are used at all).
+        // A fixed (seed, workers) pair reproduces exactly, and shard `i`
+        // is plain WHS over its slice with its own `seed ^ i` generator.
         for n in [100usize, 50_000] {
             let batch = batch_of(&[(0, n), (1, n / 2)]);
-            let run = |seed: u64, threaded: bool| {
+            let run = |seed: u64| {
                 let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 4, seed);
-                sampler.set_threaded(threaded);
                 sampler.sample_batch(&batch, n / 5)
             };
-            let a = run(7, true);
-            let b = run(7, true);
-            assert_eq!(a, b, "fixed seed + workers reproduces samples (n = {n})");
-            let inline = run(7, false);
-            assert_eq!(a, inline, "inline path matches threaded path (n = {n})");
-            let c = run(8, true);
-            assert_ne!(a, c, "different seed diverges (n = {n})");
+            let a = run(7);
+            assert_eq!(
+                a,
+                run(7),
+                "fixed seed + workers reproduces samples (n = {n})"
+            );
+            let by_shard: Vec<WhsOutput> = (0..4usize)
+                .map(|idx| {
+                    let mut rng = StdRng::seed_from_u64(7 ^ idx as u64);
+                    WhsScratch::new().sample_slice(
+                        shard_slice(&batch.items, 4, idx),
+                        shard_budget(n / 5, 4, idx),
+                        &WeightMap::new(),
+                        Allocation::Uniform,
+                        &mut rng,
+                    )
+                })
+                .collect();
+            assert_eq!(
+                a, by_shard,
+                "shard i samples its slice with seed ^ i (n = {n})"
+            );
+            assert_ne!(a, run(8), "different seed diverges (n = {n})");
         }
     }
 
@@ -607,9 +529,9 @@ mod tests {
 
     #[test]
     fn columnar_shards_bit_identical_to_aos() {
-        // Small (inline) and large (threaded) batches, with carried
-        // weights: the columnar shard outputs must match the AoS shard
-        // outputs exactly, pair by pair.
+        // Small and large batches, with carried weights: the columnar
+        // shard outputs must match the AoS shard outputs exactly, pair by
+        // pair.
         for n in [100usize, 20_000] {
             let mut batch = batch_of(&[(0, n), (1, n / 2)]);
             batch.weights.set(s(0), 2.0);
@@ -652,6 +574,19 @@ mod tests {
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].sample.len(), 10);
         assert_eq!(outs[0].weights.get(s(0)), 10.0);
+    }
+
+    #[test]
+    fn empty_and_tiny_batches_are_fine() {
+        let mut sampler = ParallelShardedSampler::new(Allocation::Uniform, 4, 9);
+        let outs = sampler.sample_batch(&Batch::new(), 10);
+        assert_eq!(outs.len(), 4);
+        assert!(outs.iter().all(|o| o.sample.is_empty()));
+        // Fewer items than shards: trailing shards see empty slices.
+        let outs = sampler.sample_batch(&batch_of(&[(0, 2)]), 10);
+        assert_eq!(outs.len(), 4);
+        let total: usize = outs.iter().map(|o| o.sample.len()).sum();
+        assert_eq!(total, 2);
     }
 
     #[test]

@@ -165,6 +165,35 @@ pub struct RunReport {
     /// End-to-end per-item latency (wall-clock pipeline mode only; empty
     /// on the sim engine and in deterministic mode).
     pub latency: LatencyStats,
+    /// Pipeline nodes that stopped before their input closed, sorted by
+    /// node. Empty on healthy runs and always on the sim engine.
+    pub node_failures: Vec<NodeFailure>,
+}
+
+/// Why a pipeline node thread stopped before its input closed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum FailureCause {
+    /// A frame on the node's input topic did not decode.
+    Decode,
+    /// Polling the node's input topic failed with an error other than the
+    /// topic closing.
+    Poll,
+    /// A frame could not be sent to the node's output topic.
+    Send,
+}
+
+/// A pipeline node that stopped early, and why. Everything the node would
+/// have forwarded from then on is lost; the report names the node so the
+/// loss never reads as packet loss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct NodeFailure {
+    /// The node's edge layer, source side first. The root reports the
+    /// tree depth (one past the last edge layer).
+    pub layer: usize,
+    /// The node's index within its layer (0 for the root).
+    pub index: usize,
+    /// What stopped it.
+    pub cause: FailureCause,
 }
 
 /// An execution backend: feeds intervals through a topology and answers
@@ -721,6 +750,7 @@ impl Engine for SimEngine {
             elapsed,
             throughput_items_per_sec: self.source_items as f64 / elapsed.as_secs_f64().max(1e-9),
             latency: LatencyStats::default(),
+            node_failures: Vec::new(),
         }
     }
 }

@@ -96,7 +96,7 @@
 //! # Ok::<(), approxiot_runtime::EngineError>(())
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod churn;
 pub mod engine;
@@ -105,14 +105,15 @@ pub mod feedback;
 pub mod metrics;
 pub mod node;
 pub mod pipeline;
-pub mod pool;
 pub mod query;
 pub mod root;
 pub mod topology;
 pub mod tree;
 
 pub use churn::{ChurnSchedule, ChurnStats, DegradedMode, NodeDisposition};
-pub use engine::{Driver, Engine, EngineError, EngineKind, RunReport, SimEngine};
+pub use engine::{
+    Driver, Engine, EngineError, EngineKind, FailureCause, NodeFailure, RunReport, SimEngine,
+};
 pub use fault::{FaultFrame, FaultInjector, FaultStats, HopFaults};
 pub use feedback::FeedbackLoop;
 pub use metrics::{mean_window_error, results_bit_identical, window_estimates, RunSummary};
@@ -120,7 +121,6 @@ pub use node::{merge_windowed_summaries, NodePayload, SamplingNode, Strategy};
 pub use pipeline::{
     run_pipeline, LatencyStats, PipelineConfig, PipelineEngine, PipelineOptions, PipelineReport,
 };
-pub use pool::WorkerPool;
 pub use query::{Query, QueryResults, QuerySet, QuerySpec, QueryValue};
 pub use root::{RootConfig, RootNode, WindowResult};
 pub use topology::{FractionSplit, HopBytes, LayerSpec, LinkSpec, Topology, TopologyBuilder};

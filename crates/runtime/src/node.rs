@@ -2,11 +2,10 @@
 //! sampling strategy so the same pipeline can run ApproxIoT, the SRS
 //! baseline or the native (no sampling) execution.
 
-use crate::pool::WorkerPool;
 use crate::query::QuerySpec;
 use approxiot_core::{
-    Allocation, Batch, ColumnarBatch, CostFunction, SamplingBudget, SketchConfig, SrsSampler,
-    StratumSummaries, StreamItem, WhsSampler,
+    Allocation, Batch, ColumnarBatch, CostFunction, ParallelShardedSampler, SamplingBudget,
+    SketchConfig, SrsSampler, StratumSummaries, StreamItem, WhsSampler,
 };
 use approxiot_streams::TumblingWindow;
 use rand::rngs::StdRng;
@@ -178,10 +177,10 @@ pub struct SamplingNode {
     budget: SamplingBudget,
     whs: WhsSampler,
     srs: Option<SrsSampler>,
-    /// §III-E parallel sharding engine, present when the node was built
-    /// with more than one worker and runs the WHS strategy: a persistent
-    /// [`WorkerPool`] whose shard threads live as long as the node.
-    parallel: Option<WorkerPool>,
+    /// §III-E shards, present when the node was built with more than one
+    /// worker and runs the WHS strategy. They sample inline on the node's
+    /// own thread.
+    parallel: Option<ParallelShardedSampler>,
     /// The summary path (`Some` only for sketch nodes): config, the
     /// topology-wide sketch seed, and the window-keyed accumulator that
     /// absorbed payloads merge into until [`SamplingNode::take_summaries`].
@@ -249,11 +248,13 @@ impl SamplingNode {
         let parallel = match strategy {
             Strategy::Whs { allocation } if workers > 1 => {
                 // Deterministic shard seeds derive from the node seed; the
-                // mixing constant keeps them disjoint from the node RNG.
-                // The pool seeds shard i with `seed ^ i` exactly like the
-                // scoped-thread sampler did, so fixed-seed pipeline output
-                // is unchanged by the engine swap.
-                Some(WorkerPool::new(allocation, workers, seed ^ 0x5A4D_BEEF))
+                // mixing constant keeps them disjoint from the node RNG,
+                // and the sampler seeds shard i with `seed ^ i`.
+                Some(ParallelShardedSampler::new(
+                    allocation,
+                    workers,
+                    seed ^ 0x5A4D_BEEF,
+                ))
             }
             _ => None,
         };
@@ -287,7 +288,9 @@ impl SamplingNode {
 
     /// Worker shards the node samples with (1 = unsharded).
     pub fn workers(&self) -> usize {
-        self.parallel.as_ref().map_or(1, WorkerPool::workers)
+        self.parallel
+            .as_ref()
+            .map_or(1, ParallelShardedSampler::workers)
     }
 
     /// The node's sampling fraction.
@@ -399,9 +402,9 @@ impl SamplingNode {
         }
     }
 
-    /// Processes one batch on the node's persistent [`WorkerPool`]
-    /// (§III-E): one output batch per worker shard, sampled concurrently
-    /// on the pool's long-lived threads (no per-batch spawn).
+    /// Processes one batch on the node's §III-E shards: one output batch
+    /// per worker shard, each sampled from its own contiguous slice with
+    /// its own `seed ^ i` generator.
     ///
     /// Falls back to a single [`SamplingNode::process_batch`] output when
     /// the node was built with one worker or runs a non-WHS strategy.
@@ -474,13 +477,12 @@ impl SamplingNode {
         self.process_columns(batch)
     }
 
-    /// Processes one columnar batch on the node's persistent
-    /// [`WorkerPool`] (§III-E) — the columnar twin of
-    /// [`SamplingNode::process_batch_parallel`], with per-shard `(start,
-    /// end)` ranges over the columns instead of item sub-slices. Shard
-    /// outputs are bit-identical to the AoS path for the same logical
-    /// items; carried weights share the same store, so the entry points
-    /// can be mixed freely.
+    /// Processes one columnar batch on the node's §III-E shards — the
+    /// columnar twin of [`SamplingNode::process_batch_parallel`], with
+    /// per-shard `(start, end)` ranges over the columns instead of item
+    /// sub-slices. Shard outputs are bit-identical to the AoS path for the
+    /// same logical items; carried weights share the same store, so the
+    /// entry points can be mixed freely.
     pub fn process_columns_parallel(&mut self, batch: &ColumnarBatch) -> Vec<ColumnarBatch> {
         let Some(parallel) = self.parallel.as_mut() else {
             return vec![self.process_columns(batch)];
@@ -996,6 +998,143 @@ mod sharded_tests {
         assert_eq!(out.len(), 17);
         assert_eq!(out.strata.as_ptr(), ptr, "moved, not cloned");
         assert!(input.is_empty(), "input contents consumed");
+    }
+
+    fn strata_batch(counts: &[(u32, usize)]) -> Batch {
+        let mut items = Vec::new();
+        for &(stratum, n) in counts {
+            for k in 0..n {
+                items.push(StreamItem::with_meta(
+                    StratumId::new(stratum),
+                    1.0,
+                    k as u64,
+                    0,
+                ));
+            }
+        }
+        Batch::from_items(items)
+    }
+
+    fn theta_of(outs: Vec<Batch>) -> ThetaStore {
+        outs.into_iter()
+            .map(|b| WhsOutput {
+                weights: b.weights,
+                sample: b.items,
+            })
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "workers must be positive")]
+    fn with_workers_rejects_zero_workers() {
+        let _ = SamplingNode::with_workers(Strategy::whs(), 0.5, 5, 0);
+    }
+
+    #[test]
+    fn sharded_node_is_send() {
+        // Pipeline nodes move onto their own threads.
+        fn assert_send<T: Send>() {}
+        assert_send::<SamplingNode>();
+    }
+
+    #[test]
+    fn parallel_node_is_bit_identical_to_standalone_sampler() {
+        // The node's shards are a `ParallelShardedSampler` seeded from the
+        // node seed with the documented mixing constant: over a
+        // multi-batch stream with carried weights, the node reproduces a
+        // standalone sampler exactly, shard for shard.
+        for workers in [2usize, 4, 8] {
+            let mut node =
+                SamplingNode::with_workers(Strategy::whs(), 0.1, 42, workers).expect("valid");
+            let mut sampler =
+                ParallelShardedSampler::new(Allocation::Uniform, workers, 42 ^ 0x5A4D_BEEF);
+            for round in 0..5usize {
+                let mut b = strata_batch(&[(0, 5_000 + round), (1, 777), (2, 13)]);
+                if round == 0 {
+                    b.weights.set(StratumId::new(1), 2.5);
+                }
+                let expected: Vec<Batch> = sampler
+                    .sample_batch(&b, node.budget.sample_size(b.len()))
+                    .into_iter()
+                    .filter(|o| !o.sample.is_empty())
+                    .map(WhsOutput::into_batch)
+                    .collect();
+                assert_eq!(
+                    node.process_batch_parallel(&b),
+                    expected,
+                    "workers={workers} round={round}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn columnar_parallel_node_bit_identical_to_aos_over_a_stream() {
+        // Multi-batch stream with carried weights: the columnar shard
+        // entry must reproduce the AoS shard entry batch for batch.
+        let mut aos = SamplingNode::with_workers(Strategy::whs(), 0.1, 42, 4).expect("valid");
+        let mut soa = SamplingNode::with_workers(Strategy::whs(), 0.1, 42, 4).expect("valid");
+        for round in 0..3usize {
+            let mut b = strata_batch(&[(0, 5_000 + round), (1, 777), (2, 13)]);
+            if round == 0 {
+                b.weights.set(StratumId::new(1), 2.5);
+            }
+            let cols = ColumnarBatch::from_batch(&b);
+            let a = aos.process_batch_parallel(&b);
+            let c = soa.process_columns_parallel(&cols);
+            assert_eq!(a.len(), c.len());
+            for (a, c) in a.into_iter().zip(c) {
+                assert_eq!(c.to_batch(), a, "round {round}: layouts diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_node_fixed_seed_reproduces_across_instances() {
+        let b = strata_batch(&[(0, 10_000), (3, 450)]);
+        let run = |seed: u64| {
+            SamplingNode::with_workers(Strategy::whs(), 0.1, seed, 4)
+                .expect("valid")
+                .process_batch_parallel(&b)
+        };
+        assert_eq!(run(7), run(7), "fixed seed reproduces");
+        assert_ne!(run(7), run(8), "different seed diverges");
+    }
+
+    #[test]
+    fn parallel_node_budgets_sum_exactly_and_counts_reconstruct() {
+        let b = strata_batch(&[(0, 20_000), (1, 1_000)]);
+        let mut node = SamplingNode::with_workers(Strategy::whs(), 0.1, 42, 8).expect("valid");
+        let budget = node.budget.sample_size(b.len());
+        let outs = node.process_batch_parallel(&b);
+        assert_eq!(outs.len(), 8);
+        let total: usize = outs.iter().map(Batch::len).sum();
+        assert_eq!(total, budget, "shard budgets sum to the node budget");
+        let est = theta_of(outs).stratum_estimates();
+        for (stratum, expected) in [(0, 20_000.0), (1, 1_000.0)] {
+            let got = est[&StratumId::new(stratum)].count_hat;
+            assert!(
+                (got - expected).abs() < 1e-6,
+                "stratum {stratum}: reconstructed {got}, expected {expected}"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_node_carried_weights_reach_every_shard_and_reset_clears() {
+        let mut node = SamplingNode::with_workers(Strategy::whs(), 0.5, 3, 2).expect("valid");
+        let mut first = batch(8);
+        first.weights.set(StratumId::new(0), 3.0);
+        node.process_batch_parallel(&first);
+        let theta = theta_of(node.process_batch_parallel(&batch(8)));
+        assert!(
+            (theta.count_estimate() - 24.0).abs() < 1e-9,
+            "carried 3.0 reaches both shards: {}",
+            theta.count_estimate()
+        );
+        node.reset();
+        let theta = theta_of(node.process_batch_parallel(&batch(8)));
+        assert!((theta.count_estimate() - 8.0).abs() < 1e-9, "reset clears");
     }
 
     #[test]

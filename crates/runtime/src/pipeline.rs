@@ -41,12 +41,28 @@
 //!
 //! [`PipelineOptions::deterministic`] trades the WAN timing emulation for
 //! bit-reproducibility: sources keep their event timestamps (no wall
-//! re-stamping), records are keyed by interval, and every node defers
-//! processing until its input closes, then replays it in the canonical
-//! `(interval, child, arrival)` order — the exact order the virtual-time
-//! engine uses. A fixed-seed topology therefore produces **identical
-//! window estimates** on both engines, pinned by the engine-equivalence
-//! integration test.
+//! re-stamping), records are keyed by interval, and every node processes
+//! its input in the canonical `(interval, child, arrival)` order — the
+//! exact order the virtual-time engine uses. A fixed-seed topology
+//! therefore produces **identical window estimates** on both engines,
+//! pinned by the engine-equivalence integration test.
+//!
+//! Replay streams. Each input partition has a single producer sending
+//! interval keys in non-decreasing order, so interval `k` is complete once
+//! every partition a node reads has delivered a record keyed above `k`, or
+//! the topic has closed. A node holds only the records of incomplete
+//! intervals and processes each completed one at once, so the layers work
+//! side by side instead of one after another. A silent partition — a dark
+//! subtree — holds its reader back until it speaks again or the topic
+//! closes. The root streams its ingest the same way and answers every
+//! window at flush.
+//!
+//! ## Node failures
+//!
+//! A node that meets an undecodable frame, a broker poll error or a failed
+//! send stops and is named in [`RunReport::node_failures`] with its cause,
+//! so the outputs it never sent cannot pass for packet loss. A root that
+//! stops still answers what it ingested.
 //!
 //! ## Columnar wire path and buffer reuse
 //!
@@ -70,21 +86,24 @@
 //! `read_into`), every producer encodes through its own reused scratch,
 //! and both the input columns and the forwarded output batches return to
 //! the pool once sent — native nodes even *move* the input columns to the
-//! output instead of cloning them. Sharded WHS nodes sample on a
-//! persistent [`crate::WorkerPool`] rather than a per-batch thread scope,
-//! so thread lifecycle is off the per-batch path too; the
-//! `pipeline_throughput` bench (results in `BENCH_pipeline.json`) measures
-//! the combined effect at the system level.
+//! output instead of cloning them. Sharded WHS nodes run their §III-E
+//! shards inline on the node's own thread: the pipeline already runs one
+//! thread per node, and handing each frame's shards to extra threads cost
+//! more than it spread. The `pipeline_throughput` bench (results in
+//! `BENCH_pipeline.json`) measures the combined effect at the system
+//! level.
 
 use crate::churn::{ChurnDriver, ChurnSchedule, NodeChurnContext, NodeChurnState, NodeDisposition};
-use crate::engine::{fill_completeness, Engine, EngineError, RunReport};
+use crate::engine::{fill_completeness, Engine, EngineError, FailureCause, NodeFailure, RunReport};
 use crate::fault::{FaultInjector, FaultStats, HopFaults};
 use crate::node::{NodePayload, SamplingNode, Strategy};
 use crate::query::{Query, QuerySet};
 use crate::root::{RootConfig, RootNode, WindowResult};
 use crate::topology::{FractionSplit, LayerSpec, Topology};
 use crate::tree::LayerBytes;
-use approxiot_core::{Batch, BatchPool, BudgetError, ColumnarBatch, ColumnarPool, SketchConfig};
+use approxiot_core::{
+    Batch, BatchPool, BudgetError, ColumnarBatch, ColumnarPool, SketchConfig, StratumSummaries,
+};
 use approxiot_mq::codec::{
     decode_batch_any_into, decode_columns_into, decode_summaries_into, encoded_len_columns,
     encoded_len_summaries, encoded_len_v2,
@@ -132,10 +151,9 @@ pub struct PipelineConfig {
     /// mode).
     pub source_interval: Option<Duration>,
     /// Worker shards per WHS edge node (the paper's §III-E parallel
-    /// execution): each node samples on a persistent [`crate::WorkerPool`]
-    /// of this many long-lived shard threads, each emitting its own
-    /// `(W_out, sample)` batch per input batch.
-    /// `1` (the paper's base design) samples on the node thread itself.
+    /// execution): each node splits every input batch over this many
+    /// shards, each emitting its own `(W_out, sample)` batch. The shards
+    /// run on the node's own thread. `1` is the paper's base design.
     /// SRS/native nodes ignore this.
     pub edge_workers: usize,
     /// RNG seed.
@@ -383,6 +401,9 @@ pub struct PipelineEngine {
     /// Per-hop byte counters (hop 0 filled from `producer` at finish).
     bytes: Vec<Arc<AtomicU64>>,
     latencies: Arc<Mutex<Vec<u64>>>,
+    /// Nodes that stopped before their input closed, noted by their
+    /// threads as they exit.
+    failures: Arc<Mutex<Vec<NodeFailure>>>,
     result_rx: mpsc::Receiver<WindowResult>,
     elapsed_rx: mpsc::Receiver<Duration>,
     handles: Vec<JoinHandle<()>>,
@@ -448,6 +469,7 @@ impl PipelineEngine {
             .map(|_| Arc::new(Mutex::new(FaultStats::default())))
             .collect();
         let latencies = Arc::new(Mutex::new(Vec::<u64>::new()));
+        let failures = Arc::new(Mutex::new(Vec::<NodeFailure>::new()));
         let (result_tx, result_rx) = mpsc::channel();
         let (elapsed_tx, elapsed_rx) = mpsc::channel();
         let mut handles = Vec::new();
@@ -498,6 +520,7 @@ impl PipelineEngine {
                     topology.hop_impairment_seed(l + 1, j),
                 );
                 let faults_out = Arc::clone(&fault_cells[l + 1]);
+                let failures_out = Arc::clone(&failures);
                 // The node's churn handle rides on its thread, applied
                 // lazily at the same processing moments the sim engine
                 // applies it (None on an unchurned topology).
@@ -511,7 +534,7 @@ impl PipelineEngine {
                     thread::Builder::new()
                         .name(format!("approxiot-edge-{l}-{j}"))
                         .spawn(move || {
-                            if let Some(config) = sketch {
+                            let outcome = if let Some(config) = sketch {
                                 // Sketch strata are replay-only (the driver
                                 // rejects wall-clock sketch runs): one v3
                                 // summary frame per node per interval.
@@ -524,7 +547,7 @@ impl PipelineEngine {
                                     leaf,
                                     config,
                                     sketch_seed,
-                                );
+                                )
                             } else if deterministic {
                                 edge_node_replay(
                                     consumer,
@@ -534,7 +557,7 @@ impl PipelineEngine {
                                     limiter,
                                     &mut injector,
                                     &mut edge_churn,
-                                );
+                                )
                             } else {
                                 edge_node_loop(
                                     consumer,
@@ -545,7 +568,10 @@ impl PipelineEngine {
                                     epoch,
                                     &mut injector,
                                     &mut edge_churn,
-                                );
+                                )
+                            };
+                            if let Err(cause) = outcome {
+                                note_failure(&failures_out, l, j, cause);
                             }
                             if let Some(injector) = &injector {
                                 faults_out
@@ -582,11 +608,11 @@ impl PipelineEngine {
             allowed_lateness: topology.allowed_lateness(),
         })?;
         if let Some(churn) = &churn {
-            // In replay mode the root only answers after its input closes,
-            // by which time every pushed interval has been noted, so the
-            // inclusion map it reads is complete (wall mode reads the
-            // tallies noted up to each watermark advance — approximate,
-            // like all wall-mode accounting).
+            // In replay mode the root only answers at flush, after its
+            // input closes, by which time every pushed interval has been
+            // noted, so the inclusion map it reads is complete (wall mode
+            // reads the tallies noted up to each watermark advance —
+            // approximate, like all wall-mode accounting).
             root.set_inclusion(churn.inclusion());
         }
         let root_consumer =
@@ -594,15 +620,16 @@ impl PipelineEngine {
         let root_delay = topology.root_link().delay;
         let total_delay = topology.total_delay();
         let root_latencies = Arc::clone(&latencies);
+        let root_failures = Arc::clone(&failures);
         let deterministic = options.deterministic;
         handles.push(
             thread::Builder::new()
                 .name("approxiot-root".into())
                 .spawn(move || {
-                    if root_is_sketch {
-                        root_sketch_replay(root_consumer, root, &result_tx);
+                    let outcome = if root_is_sketch {
+                        root_sketch_replay(root_consumer, root, &result_tx)
                     } else if deterministic {
-                        root_replay(root_consumer, root, &result_tx);
+                        root_replay(root_consumer, root, &result_tx)
                     } else {
                         root_loop(
                             root_consumer,
@@ -612,7 +639,11 @@ impl PipelineEngine {
                             epoch,
                             root_delay,
                             total_delay,
-                        );
+                        )
+                    };
+                    if let Err(cause) = outcome {
+                        // The root reports one layer past the last edge layer.
+                        note_failure(&root_failures, n_layers, 0, cause);
                     }
                     let _ = elapsed_tx.send(epoch.elapsed());
                 })
@@ -645,6 +676,7 @@ impl PipelineEngine {
             scheme,
             bytes,
             latencies,
+            failures,
             result_rx,
             elapsed_rx,
             handles,
@@ -833,6 +865,13 @@ impl Engine for PipelineEngine {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner),
         );
+        let mut node_failures = std::mem::take(
+            &mut *self
+                .failures
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner),
+        );
+        node_failures.sort_unstable();
         RunReport {
             results,
             bytes: self
@@ -851,6 +890,7 @@ impl Engine for PipelineEngine {
             elapsed,
             throughput_items_per_sec: self.source_items as f64 / elapsed.as_secs_f64().max(1e-9),
             latency: LatencyStats::from_nanos(latency_samples),
+            node_failures,
         }
     }
 }
@@ -866,6 +906,23 @@ impl Drop for PipelineEngine {
             }
         }
     }
+}
+
+/// Records that node `(layer, index)` stopped early.
+fn note_failure(
+    failures: &Mutex<Vec<NodeFailure>>,
+    layer: usize,
+    index: usize,
+    cause: FailureCause,
+) {
+    failures
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .push(NodeFailure {
+            layer,
+            index,
+            cause,
+        });
 }
 
 fn make_limiter(capacity: Option<u64>) -> Option<RateLimiter> {
@@ -942,7 +999,7 @@ fn edge_node_loop(
     epoch: Instant,
     injector: &mut Option<FaultInjector>,
     churn: &mut Option<EdgeChurn>,
-) {
+) -> Result<(), FailureCause> {
     // Sized to cover a window's held backlog in buffered (WHS) mode, not
     // just one poll's worth; beyond this a burst falls back to fresh
     // allocations rather than pinning memory.
@@ -1045,33 +1102,32 @@ fn edge_node_loop(
             Ok(_) => {
                 for record in records.drain(..) {
                     let mut batch = pool.get();
-                    if decode_columns_into(&record.value, &mut batch).is_err() {
-                        return;
-                    }
+                    decode_columns_into(&record.value, &mut batch)
+                        .map_err(|_| FailureCause::Decode)?;
                     wait_until(epoch, record.timestamp, params.hop_delay);
                     if params.buffered {
                         held.push(batch);
                     } else if !forward(&mut node, &mut pool, injector, churn, batch) {
-                        return;
+                        return Err(FailureCause::Send);
                     }
                 }
             }
             Err(MqError::Closed) => {
                 for batch in held.drain(..) {
                     if !forward(&mut node, &mut pool, injector, churn, batch) {
-                        return;
+                        return Err(FailureCause::Send);
                     }
                 }
-                return;
+                return Ok(());
             }
-            Err(_) => return,
+            Err(_) => return Err(FailureCause::Poll),
         }
         if params.buffered {
             let now = epoch.elapsed();
             if now.saturating_sub(last_flush) >= params.window {
                 for batch in held.drain(..) {
                     if !forward(&mut node, &mut pool, injector, churn, batch) {
-                        return;
+                        return Err(FailureCause::Send);
                     }
                 }
                 last_flush = now;
@@ -1080,11 +1136,124 @@ fn edge_node_loop(
     }
 }
 
-/// The per-edge-node deterministic replay: buffer everything until the
-/// input closes, then process in canonical `(interval, child, arrival)`
-/// order — `(timestamp, partition, offset)` on the wire, since records are
-/// keyed by interval and each partition has a single producer. Outputs
-/// inherit their input's interval key so the next layer can do the same.
+/// A record's place in the canonical replay order: `(interval, partition,
+/// offset)`. Replay records are keyed by interval on the wire, so this is
+/// `(timestamp, partition, offset)` — the sim engine's `(interval, child,
+/// arrival)` order.
+type ReplayKey = (u64, u32, u64);
+
+/// The per-partition interval frontier behind streaming deterministic
+/// replay.
+///
+/// Each input partition has a single producer that sends interval keys in
+/// non-decreasing order. Interval `k` is therefore complete once every
+/// assigned partition has delivered a record keyed above `k`, or the topic
+/// has closed. The frontier holds only the records of incomplete intervals
+/// and releases complete ones in canonical order, so a node processes
+/// exactly the sequence it would process after buffering its whole input.
+/// A partition that stays silent (a dark subtree) holds everything back
+/// until it speaks or the topic closes.
+#[derive(Debug)]
+struct IntervalFrontier<T> {
+    /// The highest interval key each assigned partition has delivered
+    /// (`None` while it is still silent).
+    latest: BTreeMap<u32, Option<u64>>,
+    /// Records of intervals not yet known complete.
+    held: BTreeMap<ReplayKey, T>,
+}
+
+impl<T> IntervalFrontier<T> {
+    fn new(partitions: &[u32]) -> Self {
+        IntervalFrontier {
+            latest: partitions.iter().map(|&p| (p, None)).collect(),
+            held: BTreeMap::new(),
+        }
+    }
+
+    /// Holds one delivered record.
+    fn hold(&mut self, key: ReplayKey, value: T) {
+        if let Some(latest) = self.latest.get_mut(&key.1) {
+            *latest = Some(latest.map_or(key.0, |k| k.max(key.0)));
+        }
+        self.held.insert(key, value);
+    }
+
+    /// Appends every held record of a complete interval to `ready`, in
+    /// canonical order. `closed` means the topic closed and drained, which
+    /// completes every interval.
+    fn release(&mut self, closed: bool, ready: &mut Vec<(ReplayKey, T)>) {
+        if closed {
+            ready.extend(std::mem::take(&mut self.held));
+            return;
+        }
+        let first_incomplete = self
+            .latest
+            .values()
+            .map(|k| k.unwrap_or(0))
+            .min()
+            .unwrap_or(u64::MAX);
+        let incomplete = self.held.split_off(&(first_incomplete, 0, 0));
+        ready.extend(std::mem::replace(&mut self.held, incomplete));
+    }
+}
+
+/// Streams a replay node's input: polls until the topic closes, decodes
+/// every record, and hands each batch of newly completed intervals to
+/// `step` in canonical order. A batch always holds whole intervals.
+fn replay_stream<T>(
+    consumer: &mut Consumer,
+    mut decode: impl FnMut(&Record) -> Option<T>,
+    mut step: impl FnMut(std::vec::Drain<'_, (ReplayKey, T)>) -> Result<(), FailureCause>,
+) -> Result<(), FailureCause> {
+    let mut frontier = IntervalFrontier::new(&consumer.assignment());
+    let mut records: Vec<Record> = Vec::new();
+    let mut ready = Vec::new();
+    loop {
+        let closed = match consumer.poll_into(&mut records, POLL_MAX, Duration::from_millis(5)) {
+            Ok(_) => false,
+            Err(MqError::Closed) => true,
+            Err(_) => return Err(FailureCause::Poll),
+        };
+        for record in records.drain(..) {
+            let value = decode(&record).ok_or(FailureCause::Decode)?;
+            frontier.hold((record.timestamp, record.partition, record.offset), value);
+        }
+        frontier.release(closed, &mut ready);
+        if !ready.is_empty() {
+            step(ready.drain(..))?;
+        }
+        if closed {
+            return Ok(());
+        }
+    }
+}
+
+/// Decodes a record into an AoS batch (either frame version).
+fn decode_items(record: &Record) -> Option<Batch> {
+    let mut batch = Batch::new();
+    decode_batch_any_into(&record.value, &mut batch).ok()?;
+    Some(batch)
+}
+
+/// Decodes a v2 record into a columnar batch.
+fn decode_columns(record: &Record) -> Option<ColumnarBatch> {
+    let mut batch = ColumnarBatch::new();
+    decode_columns_into(&record.value, &mut batch).ok()?;
+    Some(batch)
+}
+
+/// Decodes a v3 record into its window-keyed summaries.
+fn decode_summaries(record: &Record) -> Option<Vec<(u64, StratumSummaries)>> {
+    let mut windows = Vec::new();
+    decode_summaries_into(&record.value, &mut windows).ok()?;
+    Some(windows)
+}
+
+/// The per-edge-node deterministic replay: streams the input through an
+/// [`IntervalFrontier`] and processes each completed interval in canonical
+/// `(interval, child, arrival)` order. Outputs inherit their input's
+/// interval key, so each partition of the next topic is again
+/// non-decreasing and the next layer can stream the same way.
 ///
 /// Fault injection composes with replay: the injector sees the same
 /// canonical burst sequence the sim engine produces for this sender, so
@@ -1098,146 +1267,54 @@ fn edge_node_replay(
     limiter: Option<RateLimiter>,
     injector: &mut Option<FaultInjector>,
     churn: &mut Option<EdgeChurn>,
-) {
-    let Some(mut held) = collect_columns_until_closed(&mut consumer) else {
-        return;
-    };
-    held.sort_by_key(|(key, _)| *key);
-    for (key, mut batch) in held {
-        // Replay evaluates the schedule at the record's interval key —
-        // the same timeline index (and the same lazy application moments)
-        // as the sim engine's churned path.
-        let mut crashed = false;
-        if let Some(churn) = churn.as_mut() {
-            match churn.disposition(key.0) {
-                NodeDisposition::Down => continue, // lost at the doorstep
-                disposition => {
-                    churn.sync(&mut node, key.0);
-                    crashed = matches!(disposition, NodeDisposition::Crashed { .. });
+) -> Result<(), FailureCause> {
+    replay_stream(&mut consumer, decode_columns, |ready| {
+        for (key, mut batch) in ready {
+            // Replay evaluates the schedule at the record's interval key —
+            // the same timeline index (and the same lazy application
+            // moments) as the sim engine's churned path.
+            let mut crashed = false;
+            if let Some(churn) = churn.as_mut() {
+                match churn.disposition(key.0) {
+                    NodeDisposition::Down => continue, // lost at the doorstep
+                    disposition => {
+                        churn.sync(&mut node, key.0);
+                        crashed = matches!(disposition, NodeDisposition::Crashed { .. });
+                    }
                 }
             }
-        }
-        let mut outs = if params.sharded {
-            node.process_columns_parallel(&batch)
-        } else {
-            vec![node.process_columns_mut(&mut batch)]
-        };
-        outs.retain(|out| !out.is_empty());
-        if crashed {
-            continue; // processed, then the buffered output is lost
-        }
-        let sent = match injector {
-            Some(injector) => injector.transmit(&outs, &mut |out, _| {
+            let mut outs = if params.sharded {
+                node.process_columns_parallel(&batch)
+            } else {
+                vec![node.process_columns_mut(&mut batch)]
+            };
+            outs.retain(|out| !out.is_empty());
+            if crashed {
+                continue; // processed, then the buffered output is lost
+            }
+            let send = |out: &ColumnarBatch| {
                 if let Some(l) = &limiter {
                     l.acquire(encoded_len_columns(out) as u64);
                 }
                 producer
                     .send_columns_to(params.out_partition, out, key.0)
                     .is_ok()
-            }),
-            None => outs.iter().all(|out| {
-                if let Some(l) = &limiter {
-                    l.acquire(encoded_len_columns(out) as u64);
-                }
-                producer
-                    .send_columns_to(params.out_partition, out, key.0)
-                    .is_ok()
-            }),
-        };
-        if !sent {
-            return;
-        }
-    }
-}
-
-/// Drains a consumer to close, decoding every record into an AoS batch
-/// (either frame version); `None` on a decode error (poisoned stream).
-#[allow(clippy::type_complexity)]
-fn collect_until_closed(consumer: &mut Consumer) -> Option<Vec<((u64, u32, u64), Batch)>> {
-    let mut held = Vec::new();
-    let mut records: Vec<Record> = Vec::new();
-    loop {
-        match consumer.poll_into(&mut records, POLL_MAX, Duration::from_millis(5)) {
-            Ok(_) => {
-                for record in records.drain(..) {
-                    let mut batch = Batch::new();
-                    if decode_batch_any_into(&record.value, &mut batch).is_err() {
-                        return None;
-                    }
-                    held.push(((record.timestamp, record.partition, record.offset), batch));
-                }
+            };
+            let sent = match injector {
+                Some(injector) => injector.transmit(&outs, &mut |out, _| send(out)),
+                None => outs.iter().all(send),
+            };
+            if !sent {
+                return Err(FailureCause::Send);
             }
-            Err(MqError::Closed) => return Some(held),
-            Err(_) => return None,
         }
-    }
+        Ok(())
+    })
 }
 
-/// Columnar twin of [`collect_until_closed`]: drains to close decoding
-/// every v2 frame into its own [`ColumnarBatch`] (replay holds the full
-/// backlog anyway, so there is nothing to pool).
-#[allow(clippy::type_complexity)]
-fn collect_columns_until_closed(
-    consumer: &mut Consumer,
-) -> Option<Vec<((u64, u32, u64), ColumnarBatch)>> {
-    let mut held = Vec::new();
-    let mut records: Vec<Record> = Vec::new();
-    loop {
-        match consumer.poll_into(&mut records, POLL_MAX, Duration::from_millis(5)) {
-            Ok(_) => {
-                for record in records.drain(..) {
-                    let mut batch = ColumnarBatch::new();
-                    if decode_columns_into(&record.value, &mut batch).is_err() {
-                        return None;
-                    }
-                    held.push(((record.timestamp, record.partition, record.offset), batch));
-                }
-            }
-            Err(MqError::Closed) => return Some(held),
-            Err(_) => return None,
-        }
-    }
-}
-
-/// Payload twin of [`collect_until_closed`] for sketch strata: leaves
-/// (`items = true`) decode the driver's item frames, inner nodes decode v3
-/// summary frames; `None` on a decode error (poisoned stream).
-#[allow(clippy::type_complexity)]
-fn collect_payloads_until_closed(
-    consumer: &mut Consumer,
-    items: bool,
-) -> Option<Vec<((u64, u32, u64), NodePayload)>> {
-    let mut held = Vec::new();
-    let mut records: Vec<Record> = Vec::new();
-    loop {
-        match consumer.poll_into(&mut records, POLL_MAX, Duration::from_millis(5)) {
-            Ok(_) => {
-                for record in records.drain(..) {
-                    let payload = if items {
-                        let mut batch = Batch::new();
-                        if decode_batch_any_into(&record.value, &mut batch).is_err() {
-                            return None;
-                        }
-                        NodePayload::Items(batch)
-                    } else {
-                        let mut windows = Vec::new();
-                        if decode_summaries_into(&record.value, &mut windows).is_err() {
-                            return None;
-                        }
-                        NodePayload::Summaries(windows)
-                    };
-                    held.push(((record.timestamp, record.partition, record.offset), payload));
-                }
-            }
-            Err(MqError::Closed) => return Some(held),
-            Err(_) => return None,
-        }
-    }
-}
-
-/// The per-edge-node sketch replay: collect until closed, absorb in the
-/// canonical `(interval, child, arrival)` order, and forward **one v3
-/// summary frame per interval** — the same drain granularity (and the same
+/// The per-edge-node sketch replay: streams the input in canonical
+/// `(interval, child, arrival)` order and forwards **one v3 summary frame
+/// per interval** — the same drain granularity (and the same
 /// `encoded_len_summaries` bytes) as the sim engine's
 /// `push_interval_sketch`, so fixed-seed runs stay bit-identical. Leaves
 /// summarize item frames; inner nodes merge their children's summaries with
@@ -1252,38 +1329,42 @@ fn edge_node_sketch_replay(
     leaf: bool,
     config: SketchConfig,
     seed: u64,
-) {
+) -> Result<(), FailureCause> {
     let scheme = TumblingWindow::new(params.window);
-    let Some(mut held) = collect_payloads_until_closed(&mut consumer, leaf) else {
-        return;
+    let decode = |record: &Record| {
+        if leaf {
+            decode_items(record).map(NodePayload::Items)
+        } else {
+            decode_summaries(record).map(NodePayload::Summaries)
+        }
     };
-    held.sort_by_key(|(key, _)| *key);
-    let mut i = 0;
-    while i < held.len() {
-        let interval = held[i].0 .0;
-        while i < held.len() && held[i].0 .0 == interval {
-            node.absorb_payload(&held[i].1, scheme);
-            i += 1;
+    replay_stream(&mut consumer, decode, |ready| {
+        let mut ready = ready.peekable();
+        while let Some(((interval, _, _), payload)) = ready.next() {
+            node.absorb_payload(&payload, scheme);
+            if ready.peek().is_some_and(|(key, _)| key.0 == interval) {
+                continue;
+            }
+            // Last record of the interval: drain it as one frame.
+            let windows = node.take_summaries();
+            if windows.is_empty() {
+                continue;
+            }
+            if let Some(l) = &limiter {
+                l.acquire(encoded_len_summaries(&windows) as u64);
+            }
+            producer
+                .send_summaries_to(params.out_partition, config, seed, &windows, interval)
+                .map_err(|_| FailureCause::Send)?;
         }
-        let windows = node.take_summaries();
-        if windows.is_empty() {
-            continue;
-        }
-        if let Some(l) = &limiter {
-            l.acquire(encoded_len_summaries(&windows) as u64);
-        }
-        if producer
-            .send_summaries_to(params.out_partition, config, seed, &windows, interval)
-            .is_err()
-        {
-            return;
-        }
-    }
+        Ok(())
+    })
 }
 
 /// The wall-clock root loop: ingest with delay emulation and latency
 /// sampling, advancing the watermark conservatively as wall time passes,
-/// streaming each closed window's result as it becomes available.
+/// streaming each closed window's result as it becomes available. A failed
+/// input still flushes what was ingested.
 fn root_loop(
     mut consumer: Consumer,
     mut root: RootNode,
@@ -1292,16 +1373,16 @@ fn root_loop(
     epoch: Instant,
     root_delay: Duration,
     total_delay: Duration,
-) {
+) -> Result<(), FailureCause> {
     let mut pool = BatchPool::new(POLL_MAX + 2);
     let mut records: Vec<Record> = Vec::new();
-    'run: loop {
+    let outcome = 'run: loop {
         match consumer.poll_into(&mut records, POLL_MAX, Duration::from_millis(5)) {
             Ok(_) => {
                 for record in records.drain(..) {
                     let mut batch = pool.get();
                     if decode_batch_any_into(&record.value, &mut batch).is_err() {
-                        break 'run;
+                        break 'run Err(FailureCause::Decode);
                     }
                     wait_until(epoch, record.timestamp, root_delay);
                     let now = epoch.elapsed().as_nanos() as u64;
@@ -1326,49 +1407,52 @@ fn root_loop(
                     let _ = result_tx.send(result);
                 }
             }
-            Err(MqError::Closed) => break,
-            Err(_) => break,
+            Err(MqError::Closed) => break Ok(()),
+            Err(_) => break Err(FailureCause::Poll),
         }
-    }
-    for result in root.flush() {
-        let _ = result_tx.send(result);
-    }
-}
-
-/// The deterministic root: collect to close, replay in canonical order,
-/// answer every window at flush.
-fn root_replay(mut consumer: Consumer, mut root: RootNode, result_tx: &mpsc::Sender<WindowResult>) {
-    let Some(mut held) = collect_until_closed(&mut consumer) else {
-        return;
     };
-    held.sort_by_key(|(key, _)| *key);
-    for (_, mut batch) in held {
-        root.ingest_mut(&mut batch);
-    }
-    let mut results = root.flush();
-    results.sort_by_key(|r| r.window);
-    for result in results {
-        let _ = result_tx.send(result);
-    }
+    send_flushed(root, result_tx);
+    outcome
 }
 
-/// The sketch root: collect v3 summary frames to close, ingest in the
-/// canonical order (the same insertion order as the sim engine's per-interval
-/// `ingest_summaries` calls), answer every window at flush.
+/// The deterministic root: streams its ingest in canonical order and
+/// answers every window at flush. A failed input still flushes what was
+/// ingested; the failure is reported beside the results.
+fn root_replay(
+    mut consumer: Consumer,
+    mut root: RootNode,
+    result_tx: &mpsc::Sender<WindowResult>,
+) -> Result<(), FailureCause> {
+    let outcome = replay_stream(&mut consumer, decode_items, |ready| {
+        for (_, mut batch) in ready {
+            root.ingest_mut(&mut batch);
+        }
+        Ok(())
+    });
+    send_flushed(root, result_tx);
+    outcome
+}
+
+/// The sketch root: streams v3 summary frames in canonical order (the same
+/// insertion order as the sim engine's per-interval `ingest_summaries`
+/// calls) and answers every window at flush.
 fn root_sketch_replay(
     mut consumer: Consumer,
     mut root: RootNode,
     result_tx: &mpsc::Sender<WindowResult>,
-) {
-    let Some(mut held) = collect_payloads_until_closed(&mut consumer, false) else {
-        return;
-    };
-    held.sort_by_key(|(key, _)| *key);
-    for (_, payload) in held {
-        if let NodePayload::Summaries(windows) = payload {
+) -> Result<(), FailureCause> {
+    let outcome = replay_stream(&mut consumer, decode_summaries, |ready| {
+        for (_, windows) in ready {
             root.ingest_summaries(windows);
         }
-    }
+        Ok(())
+    });
+    send_flushed(root, result_tx);
+    outcome
+}
+
+/// Answers every remaining window, in window order.
+fn send_flushed(mut root: RootNode, result_tx: &mpsc::Sender<WindowResult>) {
     let mut results = root.flush();
     results.sort_by_key(|r| r.window);
     for result in results {
@@ -1380,6 +1464,7 @@ fn root_sketch_replay(
 mod tests {
     use super::*;
     use approxiot_core::{accuracy_loss, StratumId, StreamItem};
+    use approxiot_mq::ProducerRecord;
 
     fn intervals(
         n_intervals: usize,
@@ -1601,6 +1686,251 @@ mod tests {
         for (hop, bytes) in report.bytes.hops().iter().enumerate() {
             assert!(*bytes > 0, "hop {hop} billed no bytes");
         }
+    }
+
+    /// Drives a frontier over `partitions` through `polls` — each poll a
+    /// list of `(partition, interval)` deliveries, offsets assigned per
+    /// partition in delivery order — then closes it. Asserts that nothing
+    /// is released before its interval is complete and that every record
+    /// comes out once, in canonical order. Returns the keys released by
+    /// each poll; the last entry is the close.
+    fn drive(partitions: &[u32], polls: &[Vec<(u32, u64)>]) -> Vec<Vec<ReplayKey>> {
+        let mut frontier = IntervalFrontier::new(partitions);
+        let mut offsets: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut latest: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut delivered = Vec::new();
+        let mut released = Vec::new();
+        let mut per_poll = Vec::new();
+        let mut ready = Vec::new();
+        let close = Vec::new();
+        for (i, poll) in polls.iter().chain(std::iter::once(&close)).enumerate() {
+            let closed = i == polls.len();
+            for &(partition, interval) in poll {
+                let offset = offsets.entry(partition).or_insert(0);
+                let key = (interval, partition, *offset);
+                *offset += 1;
+                frontier.hold(key, key);
+                delivered.push(key);
+                let seen = latest.entry(partition).or_insert(interval);
+                *seen = (*seen).max(interval);
+            }
+            frontier.release(closed, &mut ready);
+            let batch: Vec<ReplayKey> = ready.drain(..).map(|(key, _)| key).collect();
+            for key in &batch {
+                assert!(
+                    closed
+                        || partitions
+                            .iter()
+                            .all(|p| latest.get(p).is_some_and(|&k| k > key.0)),
+                    "poll {i}: {key:?} released before interval {} completed",
+                    key.0
+                );
+            }
+            released.extend(batch.iter().copied());
+            per_poll.push(batch);
+        }
+        delivered.sort_unstable();
+        assert_eq!(released, delivered, "each record once, in canonical order");
+        per_poll
+    }
+
+    #[test]
+    fn frontier_waits_out_a_dropped_frame() {
+        // Partition 1 lost its interval-1 frame: interval 1 completes only
+        // once partition 1 shows interval 2.
+        let polls = drive(
+            &[0, 1],
+            &[
+                vec![(0, 0), (1, 0)],
+                vec![(0, 1)],
+                vec![(0, 2), (1, 2)],
+                vec![(0, 3)],
+            ],
+        );
+        assert_eq!(polls[0], vec![]);
+        assert_eq!(polls[1], vec![], "partition 1 has not moved past 0");
+        assert_eq!(polls[2], vec![(0, 0, 0), (0, 1, 0), (1, 0, 1)]);
+        assert_eq!(polls[3], vec![], "partition 1 still at interval 2");
+        assert_eq!(polls[4], vec![(2, 0, 2), (2, 1, 1), (3, 0, 3)]);
+    }
+
+    #[test]
+    fn frontier_keeps_duplicates_in_offset_order() {
+        // A duplicated frame: the same interval key at consecutive offsets.
+        let polls = drive(&[0], &[vec![(0, 0), (0, 0)], vec![(0, 1)]]);
+        assert_eq!(polls[0], vec![]);
+        assert_eq!(polls[1], vec![(0, 0, 0), (0, 0, 1)]);
+        assert_eq!(polls[2], vec![(1, 0, 2)]);
+    }
+
+    #[test]
+    fn frontier_holds_everything_while_a_partition_is_silent() {
+        // Partition 2 never speaks (a dark subtree): nothing is complete
+        // until the topic closes.
+        let polls = drive(
+            &[0, 1, 2],
+            &[
+                vec![(0, 0), (1, 0)],
+                vec![(0, 1), (1, 1)],
+                vec![(0, 2), (1, 2)],
+            ],
+        );
+        assert!(polls[..3].iter().all(Vec::is_empty), "{polls:?}");
+        assert_eq!(polls[3].len(), 6, "close releases everything");
+    }
+
+    #[test]
+    fn frontier_is_indifferent_to_rotated_polls() {
+        // Per-partition interval scripts (non-decreasing, with gaps and
+        // duplicates), delivered the way `Consumer::poll_into` sweeps:
+        // each poll starts one partition later and takes up to two
+        // records per partition.
+        let scripts: [&[u64]; 3] = [&[0, 0, 1, 3, 4], &[0, 1, 1, 2, 3, 4], &[1, 2, 2, 3, 4]];
+        let mut cursors = [0usize; 3];
+        let mut polls = Vec::new();
+        for start in 0.. {
+            if cursors.iter().zip(&scripts).all(|(c, s)| *c == s.len()) {
+                break;
+            }
+            let mut poll = Vec::new();
+            for step in 0..3 {
+                let p = (start + step) % 3;
+                for _ in 0..2 {
+                    if let Some(&interval) = scripts[p].get(cursors[p]) {
+                        poll.push((p as u32, interval));
+                        cursors[p] += 1;
+                    }
+                }
+            }
+            polls.push(poll);
+        }
+        let released = drive(&[0, 1, 2], &polls);
+        assert!(
+            released[..polls.len()]
+                .iter()
+                .any(|batch| !batch.is_empty()),
+            "complete intervals stream out before the close"
+        );
+    }
+
+    fn replay_params() -> EdgeParams {
+        EdgeParams {
+            hop_delay: Duration::ZERO,
+            window: Duration::from_secs(1),
+            out_partition: 0,
+            buffered: true,
+            sharded: false,
+        }
+    }
+
+    fn columns(n: usize) -> ColumnarBatch {
+        ColumnarBatch::from_batch(&intervals(1, 1, n, 1.0)[0][0])
+    }
+
+    #[test]
+    fn replay_nodes_name_a_garbage_frame() {
+        let broker = Broker::new();
+        let input = broker.create_topic("in", 1).expect("fresh");
+        let output = broker.create_topic("out", 1).expect("fresh");
+        input
+            .append_to(0, ProducerRecord::new(vec![0xDE, 0xAD, 0xBE, 0xEF]))
+            .expect("open");
+        input.close();
+        let consumer = Consumer::subscribe_all(Arc::clone(&input), StartOffset::Earliest);
+        let node = SamplingNode::new(Strategy::whs(), 0.5, 1).expect("valid");
+        let outcome = edge_node_replay(
+            consumer,
+            &BatchProducer::new(output),
+            node,
+            &replay_params(),
+            None,
+            &mut None,
+            &mut None,
+        );
+        assert_eq!(outcome, Err(FailureCause::Decode));
+
+        let root = RootNode::new(RootConfig {
+            strategy: Strategy::whs(),
+            fraction: 1.0,
+            overall_fraction: 1.0,
+            window: Duration::from_secs(1),
+            queries: QuerySet::default(),
+            seed: 1,
+            delivery_factor: 1.0,
+            allowed_lateness: Duration::ZERO,
+        })
+        .expect("valid");
+        let (tx, _rx) = mpsc::channel();
+        let consumer = Consumer::subscribe_all(input, StartOffset::Earliest);
+        assert_eq!(root_replay(consumer, root, &tx), Err(FailureCause::Decode));
+    }
+
+    #[test]
+    fn replay_node_names_a_failed_send() {
+        let broker = Broker::new();
+        let input = broker.create_topic("in", 1).expect("fresh");
+        let output = broker.create_topic("out", 1).expect("fresh");
+        output.close();
+        let producer = BatchProducer::new(Arc::clone(&input));
+        producer.send_columns_to(0, &columns(10), 0).expect("open");
+        input.close();
+        let consumer = Consumer::subscribe_all(input, StartOffset::Earliest);
+        let node = SamplingNode::new(Strategy::Native, 1.0, 1).expect("valid");
+        let outcome = edge_node_replay(
+            consumer,
+            &BatchProducer::new(output),
+            node,
+            &replay_params(),
+            None,
+            &mut None,
+            &mut None,
+        );
+        assert_eq!(outcome, Err(FailureCause::Send));
+    }
+
+    #[test]
+    fn replay_leaf_forwards_before_its_input_closes() {
+        let broker = Broker::new();
+        let input = broker.create_topic("in", 1).expect("fresh");
+        let output = broker.create_topic("out", 1).expect("fresh");
+        let consumer = Consumer::subscribe_all(Arc::clone(&input), StartOffset::Earliest);
+        let out_producer = BatchProducer::new(Arc::clone(&output));
+        let leaf = thread::spawn(move || {
+            let node = SamplingNode::new(Strategy::Native, 1.0, 1).expect("valid");
+            edge_node_replay(
+                consumer,
+                &out_producer,
+                node,
+                &replay_params(),
+                None,
+                &mut None,
+                &mut None,
+            )
+        });
+        // Interval 1's frame completes interval 0; the input stays open.
+        let producer = BatchProducer::new(Arc::clone(&input));
+        producer.send_columns_to(0, &columns(10), 0).expect("open");
+        producer.send_columns_to(0, &columns(20), 1).expect("open");
+        let mut downstream = Consumer::subscribe_all(output, StartOffset::Earliest);
+        let forwarded = downstream
+            .poll(8, Duration::from_secs(10))
+            .expect("output open");
+        assert_eq!(
+            forwarded.len(),
+            1,
+            "interval 0 only: interval 1 may still grow"
+        );
+        assert_eq!(forwarded[0].timestamp, 0);
+        let mut batch = ColumnarBatch::new();
+        decode_columns_into(&forwarded[0].value, &mut batch).expect("v2 frame");
+        assert_eq!(batch.len(), 10);
+        input.close();
+        assert_eq!(leaf.join().expect("leaf thread"), Ok(()));
+        let rest = downstream
+            .poll(8, Duration::from_secs(10))
+            .expect("output open");
+        assert_eq!(rest.len(), 1);
+        assert_eq!(rest[0].timestamp, 1, "interval 1 forwarded at close");
     }
 
     #[test]

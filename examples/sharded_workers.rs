@@ -25,7 +25,7 @@ fn main() -> Result<(), approxiot::core::BudgetError> {
     let truth = batch.value_sum();
 
     println!(
-        "one sub-stream, {} items, sampled at 2% by w truly parallel workers:\n",
+        "one sub-stream, {} items, sampled at 2% by w worker shards:\n",
         batch.len()
     );
     println!(
@@ -33,8 +33,8 @@ fn main() -> Result<(), approxiot::core::BudgetError> {
         "workers", "pairs in Θ", "estimate", "exact ĉ", "loss %", "wall µs"
     );
     for workers in [1usize, 2, 4, 8, 16] {
-        // Each node samples its window on `workers` scoped-thread shards
-        // with deterministic per-shard RNGs (ParallelShardedSampler).
+        // Each node samples its window on `workers` inline shards with
+        // deterministic per-shard RNGs (ParallelShardedSampler).
         let mut node = SamplingNode::with_workers(Strategy::whs(), 0.02, 35, workers)?;
         let start = std::time::Instant::now();
         let outs = node.process_batch_parallel(&batch);
@@ -61,7 +61,7 @@ fn main() -> Result<(), approxiot::core::BudgetError> {
     println!("each shard's local counter feeds its local weight (paper §III-E).\n");
 
     // The same sharding, declared on the topology: every node of the
-    // first edge layer samples on 4 persistent worker shards, and the
+    // first edge layer samples on 4 worker shards, and the
     // whole tree runs behind the driver (identically on either engine).
     let topology = Topology::builder()
         .sources(1)

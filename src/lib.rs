@@ -103,12 +103,12 @@ pub mod prelude {
     };
     pub use approxiot_runtime::{
         mean_window_error, results_bit_identical, run_pipeline, window_estimates, ChurnSchedule,
-        ChurnStats, DegradedMode, Driver, Engine, EngineError, EngineKind, FaultInjector,
-        FaultStats, FeedbackLoop, FractionSplit, HopBytes, HopFaults, LatencyStats, LayerBytes,
-        LayerSpec, LinkSpec, NodeDisposition, PipelineConfig, PipelineEngine, PipelineOptions,
-        PipelineReport, Query, QueryResults, QuerySet, QuerySpec, QueryValue, RootConfig, RootNode,
-        RunReport, RunSummary, SamplingNode, SimEngine, SimTree, Strategy, Topology, TreeConfig,
-        WindowResult,
+        ChurnStats, DegradedMode, Driver, Engine, EngineError, EngineKind, FailureCause,
+        FaultInjector, FaultStats, FeedbackLoop, FractionSplit, HopBytes, HopFaults, LatencyStats,
+        LayerBytes, LayerSpec, LinkSpec, NodeDisposition, NodeFailure, PipelineConfig,
+        PipelineEngine, PipelineOptions, PipelineReport, Query, QueryResults, QuerySet, QuerySpec,
+        QueryValue, RootConfig, RootNode, RunReport, RunSummary, SamplingNode, SimEngine, SimTree,
+        Strategy, Topology, TreeConfig, WindowResult,
     };
     pub use approxiot_streams::{Processor, TumblingWindow, WindowBuffer};
     pub use approxiot_workload::{

@@ -117,9 +117,8 @@ fn asymmetric_four_layer_topology_is_engine_identical() {
 
 #[test]
 fn sharded_workers_stay_engine_identical() {
-    // §III-E parallel shards are deterministic too: each node's persistent
-    // worker pool derives per-shard RNGs from the node seed on both
-    // engines.
+    // §III-E parallel shards are deterministic too: each node's shards
+    // derive per-shard RNGs from the node seed on both engines.
     let data = noisy_intervals(3, 5, 400);
     let sim = Driver::new(
         asymmetric_topology(0.2, 2),
@@ -542,4 +541,93 @@ fn empty_churn_schedule_changes_nothing() {
             assert_eq!(result.completeness, 1.0);
         }
     }
+}
+
+#[test]
+fn long_outage_under_loss_with_shards_stays_engine_identical() {
+    // Streaming replay's stall path: leaf 1 is dark for eight consecutive
+    // intervals, so its partition of the next topic goes silent and mid 1
+    // holds every later interval back until the leaf speaks again. With
+    // 1% loss on every hop and two §III-E shards per leaf, the result must
+    // still be bit-identical to Sim.
+    let loss = ImpairmentSpec::none().loss(0.01);
+    let build = || {
+        Topology::builder()
+            .sources(8)
+            .layer(LayerSpec::new(4).workers(2).impairment(loss))
+            .layer(LayerSpec::new(2).impairment(loss))
+            .root_impairment(loss)
+            .overall_fraction(0.2)
+            .window(Duration::from_secs(1))
+            .seed(0x57A11)
+            .churn(ChurnSchedule::new().down(0, 1, 1, 9))
+            .build()
+            .expect("valid")
+    };
+    let data = noisy_intervals(12, 8, 256);
+    let sim = Driver::new(build(), multi_queries(), EngineKind::Sim)
+        .expect("valid")
+        .run(&data)
+        .expect("sim run");
+    let pipeline = Driver::new(
+        build(),
+        multi_queries(),
+        EngineKind::pipeline_deterministic(),
+    )
+    .expect("valid")
+    .run(&data)
+    .expect("pipeline run");
+    assert_eq!(sim.results.len(), 12, "one result per 1s window");
+    assert_identical(&sim, &pipeline);
+    assert_eq!(sim.faults, pipeline.faults);
+    assert_eq!(sim.churn, pipeline.churn);
+    assert!(sim.churn.node_downtime >= 8, "the outage must have fired");
+    assert!(
+        pipeline.node_failures.is_empty(),
+        "{:?}",
+        pipeline.node_failures
+    );
+}
+
+#[test]
+fn multi_interval_sketch_run_is_engine_identical() {
+    // Twelve intervals over two-second windows: each sketch node drains
+    // one v3 frame per interval as its intervals complete, and several
+    // intervals merge into each root window.
+    let build = || {
+        Topology::builder()
+            .sources(5)
+            .layer(LayerSpec::new(3))
+            .layer(LayerSpec::new(2))
+            .strategy(Strategy::sketch())
+            .window(Duration::from_secs(2))
+            .seed(0x5E7C)
+            .build()
+            .expect("valid")
+    };
+    let data = noisy_intervals(12, 5, 200);
+    let sim = Driver::new(build(), multi_queries(), EngineKind::Sim)
+        .expect("valid")
+        .run(&data)
+        .expect("sim run");
+    let pipeline = Driver::new(
+        build(),
+        multi_queries(),
+        EngineKind::pipeline_deterministic(),
+    )
+    .expect("valid")
+    .run(&data)
+    .expect("pipeline run");
+    assert_eq!(sim.results.len(), 6, "one result per 2s window");
+    assert_identical(&sim, &pipeline);
+    assert_eq!(
+        &sim.bytes.hops()[1..],
+        &pipeline.bytes.hops()[1..],
+        "inner-hop summary bytes"
+    );
+    assert!(
+        pipeline.node_failures.is_empty(),
+        "{:?}",
+        pipeline.node_failures
+    );
 }
